@@ -72,11 +72,6 @@ let modes config =
   @ List.init (max 0 config.schedules) (fun i ->
         Sched.Seeded (config.seed + i))
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let substr_index s sub =
   let n = String.length s and m = String.length sub in
   let rec go i =
@@ -85,6 +80,8 @@ let substr_index s sub =
     else go (i + 1)
   in
   go 0
+
+let contains s sub = substr_index s sub <> None
 
 (* The id of a default(none) finding names the offending variables, so
    the preprocessor-raised lint and the static analyser's per-directive

@@ -10,20 +10,18 @@
     execution exactly — re-execution seeding instead of state
     snapshotting.
 
-    During a run the checker reports every visible operation to
-    {!record}: data reads and writes (identified physically, exactly as
-    the {!Race} detector sees them), lock-style acquisitions (critical
-    sections, the atomic statement lock, [single] claims, shared
-    dynamic-dispatch claims) and atomic reduction-cell operations.
-    From the trace the engine computes {e backtrack candidates} —
-    (decision index, thread) pairs at which running a different thread
-    could reorder two dependent operations:
+    During a run every visible operation becomes an event stamped with
+    the decision that resumed it.  Data accesses are checked in the
+    shadow memory ({!Race}), which hands back through {!add_candidate}
+    each conflicting pair no fork/join/barrier/lock edge orders (pairs
+    ordered by happens-before cannot be reordered by scheduling);
+    synchronisation operations go to {!record}.  The resulting
+    {e backtrack candidates} are (decision index, thread) pairs at
+    which running another thread could reorder two dependent
+    operations:
 
-    - two data accesses to the same location by different threads, at
-      least one a write, {e not} ordered by happens-before (the same
-      [Vc.covers] test the race detector applies — pairs ordered by
-      fork/join/barrier/lock edges cannot be reordered by scheduling,
-      so they generate no candidates);
+    - two accesses to one location, at least one a write, unordered by
+      happens-before;
     - two acquisitions of the same lock object by different threads
       (always reorderable, whatever the clocks say: the lock itself is
       the only order between them);
@@ -74,32 +72,31 @@ end
 
 (* ----------------------------- events ----------------------------- *)
 
-(** Kinds of visible operations, by dependence behaviour:
-    [Kread]/[Kwrite] are happens-before-filtered data accesses;
+(** Kinds of synchronisation operations, by dependence behaviour:
     [Kacquire] is a lock-style acquisition (conflicts with the previous
     acquisition of the same object regardless of clocks); [Kcombine] is
     a commuting atomic reduction update (conflicts with loads only);
-    [Kload] is an atomic read (conflicts with combines). *)
-type kind = Kread | Kwrite | Kacquire | Kcombine | Kload
+    [Kload] is an atomic read (conflicts with combines).  Data accesses
+    never come here: the shadow memory ({!Race}) derives their
+    candidates. *)
+type kind = Kacquire | Kcombine | Kload
 
-(** Visible-operation object identity.  Data locations are physical —
-    the same cells the tracer hands the race detector — so aliasing is
-    resolved for free; locks and [single] claims are named. *)
+(** Synchronisation-object identity: atomic cells and dispatchers are
+    physical, locks and [single] claims are named. *)
 type obj =
-  | Ocell of Interp.Value.t ref
-  | Ofelem of float array * int
-  | Oielem of int array * int
   | Olock of string                       (* criticals, the atomic lock *)
   | Oatomf of Omprt.Atomics.Float.t
   | Oatomi of Omprt.Atomics.Int.t
   | Odispatch of Omprt.Ws.Dispatch.t
   | Osingle of int * int                  (* team uid, single epoch *)
 
-type evt = { e_gid : int; e_clk : int; e_step : int }
+(* No clocks here: none of these conflicts is happens-before-filtered.
+   [e_gid] is the virtual-thread id, the identity decisions use. *)
+type evt = { e_gid : int; e_step : int }
 
 type objstate = {
-  mutable ow : evt option;   (* last write / acquire / combine *)
-  mutable oreads : evt list; (* latest read per thread since [ow] *)
+  mutable ow : evt option;   (* last acquire / combine *)
+  mutable oreads : evt list; (* latest load per thread since [ow] *)
 }
 
 (* --------------------------- executions --------------------------- *)
@@ -112,10 +109,8 @@ type exec = {
                                     previous thread *)
   mutable last : int;            (* previously chosen thread, -1 at start *)
   mutable diverged : bool;       (* prefix replay failed — determinism bug *)
-  (* per-object tables, mirroring Race's physical-identity scheme *)
-  mutable cells : (Interp.Value.t ref * objstate) list;
-  mutable fas : (float array * (int, objstate) Hashtbl.t) list;
-  mutable ias : (int array * (int, objstate) Hashtbl.t) list;
+  mutable width : int;           (* clock indices the run allocated *)
+  (* synchronisation-object tables *)
   named : (string, objstate) Hashtbl.t;
   mutable atf : (Omprt.Atomics.Float.t * objstate) list;
   mutable ati : (Omprt.Atomics.Int.t * objstate) list;
@@ -130,7 +125,7 @@ let new_exec ~prefix =
     switches = Vec.create ();
     last = -1;
     diverged = false;
-    cells = []; fas = []; ias = [];
+    width = 0;
     named = Hashtbl.create 16;
     atf = []; ati = []; disp = [];
     cands = Hashtbl.create 32 }
@@ -160,84 +155,40 @@ let decide ex ~enabled =
 
 let diverged ex = ex.diverged
 
+(** The decision index that resumed the running thread. *)
+let step ex = Vec.length ex.choices - 1
+
+let note_width ex n = ex.width <- n
+
 (* ------------------------ object-state lookup --------------------- *)
 
 let fresh_state () = { ow = None; oreads = [] }
 
-let elem_state h i =
-  match Hashtbl.find_opt h i with
+let named_state ex key =
+  match Hashtbl.find_opt ex.named key with
   | Some s -> s
   | None ->
       let s = fresh_state () in
-      Hashtbl.add h i s;
+      Hashtbl.add ex.named key s;
+      s
+
+(* physical identity: [add] conses a fresh binding onto the table *)
+let assq_state table x add =
+  match List.assq_opt x table with
+  | Some s -> s
+  | None ->
+      let s = fresh_state () in
+      add (x, s);
       s
 
 let state_of ex (o : obj) : objstate =
   match o with
-  | Ocell r ->
-      (match List.find_opt (fun (x, _) -> x == r) ex.cells with
-       | Some (_, s) -> s
-       | None ->
-           let s = fresh_state () in
-           ex.cells <- (r, s) :: ex.cells;
-           s)
-  | Ofelem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) ex.fas with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            ex.fas <- (a, h) :: ex.fas;
-            h
-      in
-      elem_state h i
-  | Oielem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) ex.ias with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            ex.ias <- (a, h) :: ex.ias;
-            h
-      in
-      elem_state h i
-  | Olock name ->
-      let key = "lock:" ^ name in
-      (match Hashtbl.find_opt ex.named key with
-       | Some s -> s
-       | None ->
-           let s = fresh_state () in
-           Hashtbl.add ex.named key s;
-           s)
+  | Olock name -> named_state ex ("lock:" ^ name)
   | Osingle (team, epoch) ->
-      let key = Printf.sprintf "single:%d:%d" team epoch in
-      (match Hashtbl.find_opt ex.named key with
-       | Some s -> s
-       | None ->
-           let s = fresh_state () in
-           Hashtbl.add ex.named key s;
-           s)
-  | Oatomf a ->
-      (match List.find_opt (fun (x, _) -> x == a) ex.atf with
-       | Some (_, s) -> s
-       | None ->
-           let s = fresh_state () in
-           ex.atf <- (a, s) :: ex.atf;
-           s)
-  | Oatomi a ->
-      (match List.find_opt (fun (x, _) -> x == a) ex.ati with
-       | Some (_, s) -> s
-       | None ->
-           let s = fresh_state () in
-           ex.ati <- (a, s) :: ex.ati;
-           s)
-  | Odispatch d ->
-      (match List.find_opt (fun (x, _) -> x == d) ex.disp with
-       | Some (_, s) -> s
-       | None ->
-           let s = fresh_state () in
-           ex.disp <- (d, s) :: ex.disp;
-           s)
+      named_state ex (Printf.sprintf "single:%d:%d" team epoch)
+  | Oatomf a -> assq_state ex.atf a (fun b -> ex.atf <- b :: ex.atf)
+  | Oatomi a -> assq_state ex.ati a (fun b -> ex.ati <- b :: ex.ati)
+  | Odispatch d -> assq_state ex.disp d (fun b -> ex.disp <- b :: ex.disp)
 
 (* ------------------------ backtrack candidates -------------------- *)
 
@@ -246,8 +197,7 @@ let state_of ex (o : obj) : objstate =
    [s] is too.  When [gid] was not yet runnable (e.g. not yet spawned),
    fall back to every other thread runnable at [s]: conservative, as in
    the original Flanagan–Godefroid formulation. *)
-let add_candidate ex (prior : evt) ~gid =
-  let s = prior.e_step in
+let add_candidate ex ~step:s ~gid =
   if s >= 0 && s < Vec.length ex.enabled then begin
     let there = Vec.get ex.enabled s in
     let chosen_there = Vec.get ex.choices s in
@@ -261,59 +211,38 @@ let add_candidate ex (prior : evt) ~gid =
       tids
   end
 
-(** Record a visible operation by thread [gid] whose vector clock is
-    [vc], at the decision index that resumed it (the latest one).
-    Updates the object's last-access state and adds backtrack
-    candidates for every dependent, reorderable prior operation. *)
 let debug = Sys.getenv_opt "ZIGOMP_DPOR_DEBUG" <> None
 
-let kind_s = function
-  | Kread -> "r" | Kwrite -> "w" | Kacquire -> "a" | Kcombine -> "c"
-  | Kload -> "l"
+let kind_s = function Kacquire -> "a" | Kcombine -> "c" | Kload -> "l"
 
-let record ex ~gid ~(vc : Vc.t) ~(obj : obj) ~(kind : kind) =
+(** Record a synchronisation operation by thread [gid] at the decision
+    index that resumed it (the latest one), update the object's
+    last-access state, and add backtrack candidates for every dependent
+    prior operation by another thread. *)
+let record ex ~gid ~(obj : obj) ~(kind : kind) =
   if debug then
-    Printf.eprintf "[dpor] step=%d gid=%d clk=%d %s\n%!"
-      (Vec.length ex.choices - 1) gid (Vc.get vc gid) (kind_s kind);
+    Printf.eprintf "[dpor] step=%d gid=%d %s\n%!" (step ex) gid (kind_s kind);
   let st = state_of ex obj in
-  let e = { e_gid = gid; e_clk = Vc.get vc gid; e_step = Vec.length ex.choices - 1 } in
-  let racing (prior : evt) =
-    prior.e_gid <> gid
-    && not (Vc.covers vc ~tid:prior.e_gid ~clk:prior.e_clk)
+  let e = { e_gid = gid; e_step = step ex } in
+  let other (prior : evt) =
+    if prior.e_gid <> gid then add_candidate ex ~step:prior.e_step ~gid
   in
-  let other (prior : evt) = prior.e_gid <> gid in
-  (match kind with
-   | Kread ->
-       (match st.ow with
-        | Some w when racing w -> add_candidate ex w ~gid
-        | _ -> ());
-       st.oreads <- e :: List.filter (fun r -> r.e_gid <> gid) st.oreads
-   | Kwrite ->
-       (match st.ow with
-        | Some w when racing w -> add_candidate ex w ~gid
-        | _ -> ());
-       List.iter (fun r -> if racing r then add_candidate ex r ~gid) st.oreads;
-       st.ow <- Some e;
-       st.oreads <- []
-   | Kacquire ->
-       (* lock-ordered: the happens-before edge comes from the lock
-          itself, so never filter by clocks *)
-       (match st.ow with
-        | Some w when other w -> add_candidate ex w ~gid
-        | _ -> ());
-       List.iter (fun r -> if other r then add_candidate ex r ~gid) st.oreads;
-       st.ow <- Some e;
-       st.oreads <- []
-   | Kcombine ->
-       (* commutes with other combines; conflicts with loads *)
-       List.iter (fun r -> if other r then add_candidate ex r ~gid) st.oreads;
-       st.ow <- Some e;
-       st.oreads <- []
-   | Kload ->
-       (match st.ow with
-        | Some w when other w -> add_candidate ex w ~gid
-        | _ -> ());
-       st.oreads <- e :: List.filter (fun r -> r.e_gid <> gid) st.oreads)
+  match kind with
+  | Kacquire ->
+      (* lock-ordered: the happens-before edge comes from the lock
+         itself, so never filter by clocks *)
+      Option.iter other st.ow;
+      List.iter other st.oreads;
+      st.ow <- Some e;
+      st.oreads <- []
+  | Kcombine ->
+      (* commutes with other combines; conflicts with loads *)
+      List.iter other st.oreads;
+      st.ow <- Some e;
+      st.oreads <- []
+  | Kload ->
+      Option.iter other st.ow;
+      st.oreads <- e :: List.filter (fun r -> r.e_gid <> gid) st.oreads
 
 (* ----------------------- prefixes and preemptions ------------------ *)
 
@@ -394,6 +323,7 @@ type stats = {
   executions : int;      (** executions actually run *)
   racy_execs : int;      (** executions with at least one race finding *)
   diverged_execs : int;  (** prefix replays that failed — must be 0 *)
+  clock_width : int;     (** clock indices allocated, max over executions *)
   verdict : verdict;
 }
 
@@ -415,6 +345,7 @@ let explore ~max_execs ~preempt_bound
   let seen = Hashtbl.create 64 in
   let findings = ref [] in
   let execs = ref 0 and racy = ref 0 and diverged = ref 0 in
+  let width = ref 0 in
   let verdict = ref Complete in
   let rec loop () =
     if !execs >= max_execs then
@@ -439,6 +370,7 @@ let explore ~max_execs ~preempt_bound
           if List.exists (fun (f : Report.finding) -> f.Report.kind = Report.Race) fs
           then incr racy;
           if ex.diverged then incr diverged;
+          width := max !width ex.width;
           findings := fs @ !findings;
           List.iter
             (fun (pd, preempts, key) ->
@@ -464,4 +396,4 @@ let explore ~max_execs ~preempt_bound
   in
   ( fs,
     { executions = !execs; racy_execs = !racy; diverged_execs = !diverged;
-      verdict = !verdict } )
+      clock_width = !width; verdict = !verdict } )

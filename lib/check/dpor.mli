@@ -3,21 +3,16 @@
     See the implementation header for the algorithm; DESIGN.md for the
     happens-before model and the soundness caveats. *)
 
-(** Dependence class of a visible operation. *)
+(** Dependence class of a synchronisation operation (data accesses
+    reach {!add_candidate} from the shadow memory, {!Race}). *)
 type kind =
-  | Kread      (** data read — happens-before-filtered *)
-  | Kwrite     (** data write — happens-before-filtered *)
   | Kacquire   (** lock-style acquisition: critical, atomic statement
                    lock, [single] claim, shared dispatch claim *)
   | Kcombine   (** commuting atomic reduction update *)
   | Kload      (** atomic load — conflicts with combines *)
 
-(** Object identity of a visible operation; data locations are
-    physical, matching what the tracer hands the race detector. *)
+(** Object identity of a synchronisation operation. *)
 type obj =
-  | Ocell of Interp.Value.t ref
-  | Ofelem of float array * int
-  | Oielem of int array * int
   | Olock of string
   | Oatomf of Omprt.Atomics.Float.t
   | Oatomi of Omprt.Atomics.Int.t
@@ -26,8 +21,8 @@ type obj =
 
 type exec
 (** One controlled execution: the forced decision prefix, the decision
-    log, the per-object last-access state and the backtrack candidates
-    harvested so far. *)
+    log, the synchronisation objects' last-access state and the
+    backtrack candidates harvested so far. *)
 
 val new_exec : prefix:int array -> exec
 
@@ -37,11 +32,21 @@ val decide : exec -> enabled:int list -> int
     lowest runnable id.  Logs every decision.  [enabled] must be the
     sorted non-empty runnable set. *)
 
-val record :
-  exec -> gid:int -> vc:Vc.t -> obj:obj -> kind:kind -> unit
-(** Record a visible operation of the current thread and derive
-    backtrack candidates from dependent, reorderable prior operations
-    on the same object. *)
+val step : exec -> int
+(** The decision index that resumed the running thread. *)
+
+val record : exec -> gid:int -> obj:obj -> kind:kind -> unit
+(** Record a synchronisation operation of virtual thread [gid] and
+    derive backtrack candidates from dependent prior operations of
+    other threads on the same object. *)
+
+val add_candidate : exec -> step:int -> gid:int -> unit
+(** A dependent, reorderable prior operation resumed at decision [step]
+    justifies running virtual thread [gid] there instead (or, when [gid]
+    was not yet runnable at [step], any other thread that was). *)
+
+val note_width : exec -> int -> unit
+(** Clock indices the execution allocated, for {!stats}. *)
 
 val diverged : exec -> bool
 (** A forced prefix failed to replay — a determinism violation. *)
@@ -58,6 +63,7 @@ type stats = {
   executions : int;
   racy_execs : int;
   diverged_execs : int;
+  clock_width : int;  (** clock indices allocated, max over executions *)
   verdict : verdict;
 }
 

@@ -1,34 +1,45 @@
-(** The vector-clock race detector proper.
+(** Shadow memory: the one happens-before engine for data accesses,
+    serving both race reports and DPOR backtrack candidates.
 
-    Per traced location the detector keeps the last write epoch and the
-    most recent read per thread (a read "vector", FastTrack-style).  An
-    access races with a recorded prior access when the prior belongs to
-    a different thread and the current thread's vector clock does not
-    cover the prior's epoch — i.e. no fork/join/barrier/lock edge
-    ordered them.
+    Per traced location the table keeps the last write and the latest
+    read per clock index since that write (FastTrack-style).  An access
+    conflicts with a prior one when the current thread's vector clock
+    does not cover the prior's epoch: no fork/join/barrier/lock edge
+    ordered them.  Each conflict is reported as a race and, in a
+    controlled execution, is a backtrack candidate at the decision that
+    resumed the prior access.  Clock indices are recycled at joins
+    ({!Vc}), so a read set is bounded by the threads live at once; a
+    later holder's read happens after an earlier holder's, so keeping
+    only the newer one loses no racy location (DESIGN.md).
 
     Locations are identified physically: variable cells by the [ref]
-    they live in, array elements by the array object and index.  That is
-    exactly the identity the interpreter's tracer hands us, so aliasing
-    through pointers and captures is resolved for free. *)
+    they live in, array elements by the array object and index — the
+    identity the interpreter's tracer hands us, so aliasing through
+    pointers and captures is resolved for free. *)
 
 module Rt = Interp.Rt
 
 type evt = {
-  tid : int;
-  clk : int;
+  idx : int;               (* clock index of the accessing thread *)
+  clk : int;               (* its epoch at the access *)
+  step : int;              (* DPOR decision that resumed it; -1 if none *)
   off : int;               (* byte offset in the preprocessed source *)
   op : string option;      (* compound-assignment operator, writes only *)
   rw : [ `R | `W ];
 }
 
+(* The absent access: epoch 0 is covered by every clock, so it never
+   conflicts. *)
+let none = { idx = 0; clk = 0; step = -1; off = 0; op = None; rw = `R }
+
 type entry = {
-  mutable w : evt option;
-  mutable reads : evt list;  (* latest read per thread since last write *)
+  mutable w : evt;            (* last write, [none] before the first *)
+  mutable reads : evt array;  (* by clock index: latest read since [w] *)
 }
 
 type t = {
   src : Zr.Source.t;  (* preprocessed source, for positions/snippets *)
+  ctl : Dpor.exec option;  (* the controlled execution, if any *)
   mutable cells : (Interp.Value.t ref * entry) list;
   mutable fa : (float array * (int, entry) Hashtbl.t) list;
   mutable ia : (int array * (int, entry) Hashtbl.t) list;
@@ -36,11 +47,21 @@ type t = {
   mutable findings : Report.finding list;
 }
 
-let create ~src =
-  { src; cells = []; fa = []; ia = [];
+let create ~src ~ctl =
+  { src; ctl; cells = []; fa = []; ia = [];
     dedup = Hashtbl.create 16; findings = [] }
 
-let fresh_entry () = { w = None; reads = [] }
+(** Look [x] up by physical identity; on a miss, [add] conses a
+    [fresh ()] binding onto the table. *)
+let find_or_add table x ~fresh ~add =
+  match List.assq x table with
+  | v -> v
+  | exception Not_found ->
+      let v = fresh () in
+      add (x, v);
+      v
+
+let fresh_entry () = { w = none; reads = [||] }
 
 let elem_entry h i =
   match Hashtbl.find_opt h i with
@@ -51,43 +72,19 @@ let elem_entry h i =
       e
 
 let entry_of t (acc : Rt.access) : entry =
+  let elems tables a ~add =
+    find_or_add tables a ~fresh:(fun () -> Hashtbl.create 64) ~add
+  in
   match acc with
   | Rt.Acell r ->
-      (match List.find_opt (fun (x, _) -> x == r) t.cells with
-       | Some (_, e) -> e
-       | None ->
-           let e = fresh_entry () in
-           t.cells <- (r, e) :: t.cells;
-           e)
+      find_or_add t.cells r ~fresh:fresh_entry ~add:(fun b ->
+          t.cells <- b :: t.cells)
   | Rt.Afelem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) t.fa with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            t.fa <- (a, h) :: t.fa;
-            h
-      in
-      elem_entry h i
+      elem_entry (elems t.fa a ~add:(fun b -> t.fa <- b :: t.fa)) i
   | Rt.Aielem (a, i) ->
-      let h =
-        match List.find_opt (fun (x, _) -> x == a) t.ia with
-        | Some (_, h) -> h
-        | None ->
-            let h = Hashtbl.create 64 in
-            t.ia <- (a, h) :: t.ia;
-            h
-      in
-      elem_entry h i
+      elem_entry (elems t.ia a ~add:(fun b -> t.ia <- b :: t.ia)) i
 
 (* ---------------------------- rendering --------------------------- *)
-
-(* Shared captures reach the outlined function through a synthesised
-   [<name>__ptr] parameter; report the user's name. *)
-let clean_var v =
-  if String.length v > 5 && Filename.check_suffix v "__ptr" then
-    String.sub v 0 (String.length v - 5)
-  else v
 
 let pos t off =
   let line, col = Zr.Source.position t.src off in
@@ -124,7 +121,7 @@ let report t ~var ~(prior : evt) ~(cur : evt) =
     if (prior.off, prior.rw) <= (cur.off, cur.rw) then (prior, cur)
     else (cur, prior)
   in
-  let var = clean_var var in
+  let var = Report.clean_var var in
   let key =
     Printf.sprintf "%s|%s%d|%s%d" var (rw_s a.rw) a.off (rw_s b.rw) b.off
   in
@@ -141,26 +138,35 @@ let report t ~var ~(prior : evt) ~(cur : evt) =
 
 (* --------------------------- the check ---------------------------- *)
 
-let access t ~rw (acc : Rt.access) ~off ~hint ~gid ~(vc : Vc.t)
+(** One traced access by the thread with DPOR id [gid], clock index
+    [idx] and vector clock [vc]: report every conflicting prior access,
+    seed the matching backtrack candidates, and record the access. *)
+let access t ~rw (acc : Rt.access) ~off ~hint ~gid ~idx ~(vc : Vc.t)
     ~(op : string option) =
   let e = entry_of t acc in
+  let step = Option.fold ~none:(-1) ~some:Dpor.step t.ctl in
   let cur =
-    { tid = gid; clk = Vc.get vc gid; off;
+    { idx; clk = Vc.get vc idx; step; off;
       op = (if rw = `W then op else None); rw }
   in
-  let conflicts (prior : evt) =
-    prior.tid <> gid && not (Vc.covers vc ~tid:prior.tid ~clk:prior.clk)
+  let check (prior : evt) =
+    if not (Vc.covers vc ~idx:prior.idx ~clk:prior.clk) then begin
+      report t ~var:hint ~prior ~cur;
+      Option.iter (fun ex -> Dpor.add_candidate ex ~step:prior.step ~gid) t.ctl
+    end
   in
-  (match e.w with
-   | Some w when conflicts w -> report t ~var:hint ~prior:w ~cur
-   | _ -> ());
+  check e.w;
   match rw with
-  | `R -> e.reads <- cur :: List.filter (fun r -> r.tid <> gid) e.reads
+  | `R ->
+      if idx >= Array.length e.reads then begin
+        let r = Array.make (max (idx + 1) 4) none in
+        Array.blit e.reads 0 r 0 (Array.length e.reads);
+        e.reads <- r
+      end;
+      e.reads.(idx) <- cur
   | `W ->
-      List.iter
-        (fun r -> if conflicts r then report t ~var:hint ~prior:r ~cur)
-        e.reads;
-      e.w <- Some cur;
-      e.reads <- []
+      Array.iter check e.reads;
+      Array.fill e.reads 0 (Array.length e.reads) none;
+      e.w <- cur
 
 let findings t = t.findings

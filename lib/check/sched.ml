@@ -7,7 +7,12 @@
     thread carries a vector clock; forks, joins, barriers, criticals,
     atomics and reduction merges establish the happens-before edges
     documented in DESIGN.md, and every traced access is fed to the
-    {!Race} detector under that ordering.
+    shadow memory ({!Race}) under that ordering.
+
+    A thread's clock index is not its virtual-thread id: a finished
+    thread's index is recycled by the thread that joins its final clock
+    (DESIGN.md, "Clock-index recycling"), so clock width follows the
+    threads live at once.
 
     Schedule exploration works by charging simulated time to accesses:
     the DES scheduler always runs the runnable thread with the smallest
@@ -43,11 +48,12 @@ type team = {
   dispatchers : (int, Omprt.Ws.Dispatch.t) Hashtbl.t;  (* by loop epoch *)
   single_claims : (int, unit) Hashtbl.t;               (* by single epoch *)
   (* deferred explicit tasks: barriers and the region end gate on
-     [task_live] reaching zero; the final clock of every completed task
-     is kept so those gates establish the task-body → completion-point
-     happens-before edges *)
+     [task_live] reaching zero; the final clocks of the tasks completed
+     since the last barrier are kept so those gates establish the
+     task-body → completion-point happens-before edges *)
   mutable task_live : int;
   mutable task_finals : Vc.t list;
+  mutable task_spent : tstate list;  (* completed, for index reclaim *)
   mutable task_waiters : Des.wake list;
 }
 
@@ -57,14 +63,21 @@ and frame = {
   icvs : Omprt.Icv.t;           (* this implicit task's data environment *)
   mutable single_seen : int;    (* singles this thread has met *)
   mutable loop_epoch : int;     (* dispatch loops this thread has met *)
-  mutable task_children : Vc.t option ref list;
-      (* direct child tasks: the cell fills with the child's final
-         clock on completion; [taskwait] drains and joins them *)
+  mutable task_children : tstate option ref list;
+      (* direct child tasks: the cell fills with the finished child on
+         completion; [taskwait] drains, joins and reclaims them *)
 }
 
 and tstate = {
-  gid : int;                    (* virtual-thread id = clock index *)
+  gid : int;                    (* virtual-thread id: DPOR's identity *)
+  idx : int;                    (* clock index, recycled at joins *)
   vc : Vc.t;
+  up : (tstate * int) option;   (* the thread that started this one, and
+                                   the reclaim count at that moment *)
+  mutable free : (int * int) list;
+      (* (reclaim stamp, index) of the indices whose last holders this
+         thread has joined *)
+  mutable reclaimed : bool;     (* finished, and its index handed on *)
   base_icvs : Omprt.Icv.t;      (* the frame outside any region *)
   mutable frames : frame list;  (* innermost region first *)
 }
@@ -76,10 +89,13 @@ type session = {
   mode : mode;
   ctl : Dpor.exec option;       (* DPOR-controlled run, else sampled *)
   mutable nteams : int;         (* teams forked so far, for team uids *)
+  mutable nidx : int;           (* clock indices allocated so far *)
+  mutable reclaims : int;       (* reclaims so far: the stamp clock *)
+  retired : (int, int) Hashtbl.t;  (* index -> last holder's last epoch *)
   rng : Random.State.t option;
   race : Race.t;
   mutable findings : Report.finding list;
-  threads : (int, tstate) Hashtbl.t;         (* vthread id -> state *)
+  threads : (int, tstate) Hashtbl.t;         (* running vthread id -> state *)
   locks : (string, Des.Smutex.t * Vc.t) Hashtbl.t;  (* criticals *)
   atomic_lock : Des.Smutex.t * Vc.t;         (* __kmpc_atomic_begin/end *)
   mutable af : (Omprt.Atomics.Float.t * Vc.t) list;
@@ -118,6 +134,71 @@ let active_levels ts =
 let group_threads ts =
   List.fold_left (fun acc f -> acc + (f.team.size - 1)) 1 ts.frames
 
+(* --------------------------- clock indices ------------------------- *)
+
+(* Remove the first index of [pool] reclaimed at stamp [upto] or
+   earlier. *)
+let rec pick upto = function
+  | [] -> None
+  | (st, i) :: rest when st <= upto -> Some (i, rest)
+  | e :: rest -> Option.map (fun (i, rest) -> (i, e :: rest)) (pick upto rest)
+
+(* An index for a thread [owner] is about to start.  The new thread's
+   clock is a copy of [owner]'s, so any index [owner] has reclaimed
+   will do; so will one that [owner]'s starter had reclaimed before it
+   started [owner], and so on up the chain.  Failing those, a fresh
+   one.  The new thread's first tick moves past the previous holder's
+   last epoch. *)
+let take_index sess owner =
+  let rec go ts upto =
+    match pick upto ts.free with
+    | Some (i, rest) ->
+        ts.free <- rest;
+        i
+    | None -> (
+        match ts.up with
+        | Some (starter, born) -> go starter born
+        | None ->
+            let i = sess.nidx in
+            sess.nidx <- i + 1;
+            i)
+  in
+  go owner max_int
+
+(* The index, clock and borrowing link of a thread [owner] starts. *)
+let seed sess owner =
+  let idx = take_index sess owner in
+  (* the recycling invariant: [owner] covers the previous holder *)
+  assert (Vc.covers owner.vc ~idx
+            ~clk:(Option.value ~default:0 (Hashtbl.find_opt sess.retired idx)));
+  (idx, Vc.copy owner.vc, Some (owner, sess.reclaims))
+
+(* Make the running virtual thread a checked thread from [seed]. *)
+let start_thread sess (idx, vc, up) ~base_icvs =
+  let ts =
+    { gid = (Des.self sess.des).Des.id; idx; vc; up; free = [];
+      reclaimed = false; base_icvs; frames = [] }
+  in
+  Vc.tick ts.vc idx;
+  Hashtbl.replace sess.threads ts.gid ts;
+  ts
+
+(* [owner] joins [fin]'s final clock, so the finished thread's index,
+   with every index it had reclaimed, becomes [owner]'s, stamped now —
+   at most once: the region end skips a task a [taskwait] reclaimed. *)
+let reclaim sess owner fin =
+  Vc.join owner.vc fin.vc;
+  if not fin.reclaimed then begin
+    fin.reclaimed <- true;
+    Hashtbl.replace sess.retired fin.idx (Vc.get fin.vc fin.idx);
+    sess.reclaims <- sess.reclaims + 1;
+    let st = sess.reclaims in
+    owner.free <-
+      List.fold_left (fun acc (_, i) -> (st, i) :: acc) owner.free
+        ((st, fin.idx) :: fin.free);
+    fin.free <- []
+  end
+
 (* ------------------------ schedule perturbation ------------------- *)
 
 (* Charge simulated time to the current access; the DES min-clock rule
@@ -142,7 +223,7 @@ let pause sess ts =
    event lands on the decision that resumed this thread. *)
 let note sess ts ~obj ~kind =
   match sess.ctl with
-  | Some ex -> Dpor.record ex ~gid:ts.gid ~vc:ts.vc ~obj ~kind
+  | Some ex -> Dpor.record ex ~gid:ts.gid ~obj ~kind
   | None -> ()
 
 let controlled sess = sess.ctl <> None
@@ -158,22 +239,19 @@ let on_trace sess ~rw acc ~off ~hint =
   | None -> ()
   | Some ts ->
       pause sess ts;
-      (let obj =
-         match acc with
-         | Rt.Acell r -> Dpor.Ocell r
-         | Rt.Afelem (a, i) -> Dpor.Ofelem (a, i)
-         | Rt.Aielem (a, i) -> Dpor.Oielem (a, i)
-       in
-       note sess ts ~obj
-         ~kind:(match rw with `R -> Dpor.Kread | `W -> Dpor.Kwrite));
-      Race.access sess.race ~rw acc ~off ~hint ~gid:ts.gid ~vc:ts.vc ~op
+      Race.access sess.race ~rw acc ~off ~hint ~gid:ts.gid ~idx:ts.idx
+        ~vc:ts.vc ~op
 
 (* --------------------------- barriers ----------------------------- *)
 
-(* Task-completion happens-before: every gate that waits out the team's
-   outstanding explicit tasks joins their final clocks. *)
-let join_task_finals team vc =
-  List.iter (fun fvc -> Vc.join vc fvc) team.task_finals
+(* Task-completion happens-before: a barrier, which waits out the team's
+   outstanding explicit tasks, joins the final clocks of those completed
+   since the last barrier into its rendezvous clock — which every
+   released member adopts — and forgets them.  The region end joins
+   every task of the region as it reclaims their indices. *)
+let fold_task_finals team =
+  List.iter (Vc.join team.bar_vc) team.task_finals;
+  team.task_finals <- []
 
 let rec wait_team_tasks sess team =
   if team.task_live > 0 then begin
@@ -183,7 +261,7 @@ let rec wait_team_tasks sess team =
   end
 
 let release_barrier sess team =
-  join_task_finals team team.bar_vc;
+  fold_task_finals team;
   let blocked = List.rev team.bar_blocked in
   let bvc = team.bar_vc in
   let at = team.bar_max in
@@ -193,7 +271,7 @@ let release_barrier sess team =
   List.iter
     (fun (ts, wake) ->
       Vc.join ts.vc bvc;
-      Vc.tick ts.vc ts.gid;
+      Vc.tick ts.vc ts.idx;
       wake ~at)
     blocked;
   ignore sess
@@ -213,9 +291,9 @@ let note_divergence sess team =
 
 let barrier sess ts =
   match ts.frames with
-  | [] -> Vc.tick ts.vc ts.gid
+  | [] -> Vc.tick ts.vc ts.idx
   | { team; _ } :: _ ->
-      if team.size <= 1 then Vc.tick ts.vc ts.gid
+      if team.size <= 1 then Vc.tick ts.vc ts.idx
       else begin
         Vc.join team.bar_vc ts.vc;
         let now = Des.now sess.des in
@@ -225,9 +303,9 @@ let barrier sess ts =
         then begin
           if team.done_members > 0 then note_divergence sess team;
           (* self: adopt the rendezvous clock before the state resets *)
-          join_task_finals team team.bar_vc;
+          fold_task_finals team;
           Vc.join ts.vc team.bar_vc;
-          Vc.tick ts.vc ts.gid;
+          Vc.tick ts.vc ts.idx;
           release_barrier sess team
         end
         else
@@ -258,7 +336,7 @@ let member_done sess (fr : frame) =
    beyond [max_active_levels], then the [thread_limit] contention-group
    cap — so the checker explores the same team shapes execution uses. *)
 let fork sess parent ~call ~f ~fp ~sh ~red ~requested =
-  Vc.tick parent.vc parent.gid;
+  Vc.tick parent.vc parent.idx;
   let pframe = icvs_of parent in
   let serialised =
     requested > 1 && active_levels parent >= pframe.Omprt.Icv.max_active_levels
@@ -274,22 +352,18 @@ let fork sess parent ~call ~f ~fp ~sh ~red ~requested =
       size = nth; bar_vc = Vc.create (); bar_blocked = []; bar_max = 0.;
       done_members = 0; diverged = false;
       dispatchers = Hashtbl.create 8; single_claims = Hashtbl.create 8;
-      task_live = 0; task_finals = []; task_waiters = [] }
+      task_live = 0; task_finals = []; task_spent = []; task_waiters = [] }
   in
   sess.nteams <- sess.nteams + 1;
   let remaining = ref (nth - 1) in
   let parent_wake : Des.wake option ref = ref None in
-  let child_finals : Vc.t list ref = ref [] in
+  let children : tstate list ref = ref [] in
   for tid = 1 to nth - 1 do
-    let cvc = Vc.copy parent.vc in
+    let seed = seed sess parent in
     Des.spawn sess.des (fun () ->
-        let vt = Des.self sess.des in
         let child =
-          { gid = vt.Des.id; vc = cvc;
-            base_icvs = Omprt.Icv.copy pframe; frames = [] }
+          start_thread sess seed ~base_icvs:(Omprt.Icv.copy pframe)
         in
-        Vc.tick child.vc child.gid;
-        Hashtbl.replace sess.threads child.gid child;
         let fr =
           { team; tid; icvs = Omprt.Icv.copy pframe;
             single_seen = 0; loop_epoch = 0; task_children = [] }
@@ -298,17 +372,18 @@ let fork sess parent ~call ~f ~fp ~sh ~red ~requested =
         ignore (call f [ fp; sh; red ]);
         child.frames <- List.tl child.frames;
         member_done sess fr;
-        child_finals := child.vc :: !child_finals;
+        Hashtbl.remove sess.threads child.gid;
+        children := child :: !children;
         decr remaining;
         if !remaining = 0 then
           match !parent_wake with
-          | Some wake -> wake ~at:vt.Des.clock
+          | Some wake -> wake ~at:(Des.now sess.des)
           | None -> ())
   done;
   (* the children received a copy of the parent's clock: tick so the
      parent's own region-body events are distinguishable from the fork
      point (else a child's start would wrongly cover them) *)
-  Vc.tick parent.vc parent.gid;
+  Vc.tick parent.vc parent.idx;
   (* the encountering thread is thread 0 of the team, run in place so
      threadprivate state persists across regions as OpenMP requires *)
   let fr0 =
@@ -325,10 +400,11 @@ let fork sess parent ~call ~f ~fp ~sh ~red ~requested =
      is left (the runtime has every member drain its deque; here the
      encountering thread stands in for the team) *)
   wait_team_tasks sess team;
-  join_task_finals team parent.vc;
-  (* join: the parent happens-after every child's last event *)
-  List.iter (fun cvc -> Vc.join parent.vc cvc) !child_finals;
-  Vc.tick parent.vc parent.gid
+  (* join: the parent happens-after every child's and every task's last
+     event, and so takes over their indices *)
+  List.iter (reclaim sess parent) !children;
+  List.iter (reclaim sess parent) team.task_spent;
+  Vc.tick parent.vc parent.idx
 
 (* --------------------------- locks -------------------------------- *)
 
@@ -348,33 +424,28 @@ let acquire sess ts ~lname (m, lvc) =
 
 let release _sess ts (m, lvc) =
   Vc.join lvc ts.vc;
-  Vc.tick ts.vc ts.gid;
+  Vc.tick ts.vc ts.idx;
   Des.Smutex.unlock m
 
 (* Atomic reduction cells synchronise like a per-cell lock: loads
    acquire, combines acquire and release. *)
-let af_vc sess a =
-  match List.find_opt (fun (x, _) -> x == a) sess.af with
-  | Some (_, v) -> v
-  | None ->
-      let v = Vc.create () in
-      sess.af <- (a, v) :: sess.af;
-      v
+let cell_vc table a ~add = Race.find_or_add table a ~fresh:Vc.create ~add
+let af_vc sess a = cell_vc sess.af a ~add:(fun b -> sess.af <- b :: sess.af)
+let ai_vc sess a = cell_vc sess.ai a ~add:(fun b -> sess.ai <- b :: sess.ai)
 
-let ai_vc sess a =
-  match List.find_opt (fun (x, _) -> x == a) sess.ai with
-  | Some (_, v) -> v
-  | None ->
-      let v = Vc.create () in
-      sess.ai <- (a, v) :: sess.ai;
-      v
-
-let atomic_sync _sess ts cvc ~combine =
+(* A load or combine on an atomic reduction cell [cvc]: a visible
+   operation (a load only under DPOR), then the cell's synchronisation. *)
+let atomic_op sess ts ~obj cvc ~combine =
+  if combine || controlled sess then begin
+    pause sess ts;
+    note sess ts ~obj ~kind:(if combine then Dpor.Kcombine else Dpor.Kload)
+  end;
   Vc.join ts.vc cvc;
   if combine then begin
     Vc.join cvc ts.vc;
-    Vc.tick ts.vc ts.gid
-  end
+    Vc.tick ts.vc ts.idx
+  end;
+  None
 
 (* ------------------------ builtin interception -------------------- *)
 
@@ -518,20 +589,14 @@ let on_builtin sess ~call fname args : V.t option =
                    body happens-after it: the child vthread starts from
                    a copy of the creator's clock *)
                 pause sess ts;
-                Vc.tick ts.vc ts.gid;
-                let cvc = Vc.copy ts.vc in
+                Vc.tick ts.vc ts.idx;
+                let seed = seed sess ts in
                 let cell = ref None in
                 fr.task_children <- cell :: fr.task_children;
                 team.task_live <- team.task_live + 1;
                 let ticvs = Omprt.Icv.copy fr.icvs in
                 Des.spawn sess.des (fun () ->
-                    let vt = Des.self sess.des in
-                    let child =
-                      { gid = vt.Des.id; vc = cvc; base_icvs = ticvs;
-                        frames = [] }
-                    in
-                    Vc.tick child.vc child.gid;
-                    Hashtbl.replace sess.threads child.gid child;
+                    let child = start_thread sess seed ~base_icvs:ticvs in
                     let cfr =
                       { team; tid = fr.tid; icvs = ticvs;
                         single_seen = 0; loop_epoch = 0;
@@ -542,10 +607,11 @@ let on_builtin sess ~call fname args : V.t option =
                     (* completion: fill the creator's child cell,
                        publish the final clock, and reopen any gate
                        this was the last outstanding task of *)
-                    let final = Vc.copy child.vc in
-                    cell := Some final;
+                    Hashtbl.remove sess.threads child.gid;
+                    cell := Some child;
                     team.task_live <- team.task_live - 1;
-                    team.task_finals <- final :: team.task_finals;
+                    team.task_finals <- child.vc :: team.task_finals;
+                    team.task_spent <- child :: team.task_spent;
                     let at = Des.now sess.des in
                     if at > team.bar_max then team.bar_max <- at;
                     let ws = team.task_waiters in
@@ -557,7 +623,7 @@ let on_builtin sess ~call fname args : V.t option =
                           >= team.size
                     then release_barrier sess team);
                 (* separate the creator's later events from the spawn *)
-                Vc.tick ts.vc ts.gid
+                Vc.tick ts.vc ts.idx
             | fr :: _ ->
                 (* serialised team: undeferred, in its own ICV frame *)
                 let cfr =
@@ -579,15 +645,13 @@ let on_builtin sess ~call fname args : V.t option =
                 let rec wait () =
                   if List.for_all (fun c -> !c <> None) fr.task_children
                   then begin
-                    (* child bodies happen-before taskwait return *)
+                    (* child bodies happen-before taskwait return, and
+                       their indices become this thread's *)
                     List.iter
-                      (fun c ->
-                        match !c with
-                        | Some fvc -> Vc.join ts.vc fvc
-                        | None -> ())
+                      (fun c -> Option.iter (reclaim sess ts) !c)
                       fr.task_children;
                     fr.task_children <- [];
-                    Vc.tick ts.vc ts.gid
+                    Vc.tick ts.vc ts.idx
                   end
                   else begin
                     Des.suspend sess.des (fun wake ->
@@ -597,7 +661,7 @@ let on_builtin sess ~call fname args : V.t option =
                   end
                 in
                 wait ()
-            | [] -> Vc.tick ts.vc ts.gid);
+            | [] -> Vc.tick ts.vc ts.idx);
            Some V.VUnit
        | "__kmpc_copyprivate_put", [ v ] ->
            (match ts.frames with
@@ -632,29 +696,13 @@ let on_builtin sess ~call fname args : V.t option =
            let _, tid, _ = ctx ts in
            Some (V.VInt tid)
        | "__omp_atomic_load", [ V.VAtomicF a ] ->
-           if controlled sess then begin
-             pause sess ts;
-             note sess ts ~obj:(Dpor.Oatomf a) ~kind:Dpor.Kload
-           end;
-           atomic_sync sess ts (af_vc sess a) ~combine:false;
-           None
+           atomic_op sess ts ~obj:(Dpor.Oatomf a) (af_vc sess a) ~combine:false
        | "__omp_atomic_load", [ V.VAtomicI a ] ->
-           if controlled sess then begin
-             pause sess ts;
-             note sess ts ~obj:(Dpor.Oatomi a) ~kind:Dpor.Kload
-           end;
-           atomic_sync sess ts (ai_vc sess a) ~combine:false;
-           None
-       | _, (V.VAtomicF a :: _) when is_combine fname ->
-           pause sess ts;
-           note sess ts ~obj:(Dpor.Oatomf a) ~kind:Dpor.Kcombine;
-           atomic_sync sess ts (af_vc sess a) ~combine:true;
-           None
-       | _, (V.VAtomicI a :: _) when is_combine fname ->
-           pause sess ts;
-           note sess ts ~obj:(Dpor.Oatomi a) ~kind:Dpor.Kcombine;
-           atomic_sync sess ts (ai_vc sess a) ~combine:true;
-           None
+           atomic_op sess ts ~obj:(Dpor.Oatomi a) (ai_vc sess a) ~combine:false
+       | _, V.VAtomicF a :: _ when is_combine fname ->
+           atomic_op sess ts ~obj:(Dpor.Oatomf a) (af_vc sess a) ~combine:true
+       | _, V.VAtomicI a :: _ when is_combine fname ->
+           atomic_op sess ts ~obj:(Dpor.Oatomi a) (ai_vc sess a) ~combine:true
        | "print", [ v ] ->
            Buffer.add_string sess.output (V.to_string v);
            Buffer.add_char sess.output '\n';
@@ -740,12 +788,13 @@ let run_session ~name ~(load : unit -> Interp.program)
   let initial_icvs = Omprt.Icv.copy Omprt.Icv.global in
   initial_icvs.Omprt.Icv.nthreads <- nthreads;
   let sess =
-    { des; nthreads; initial_icvs; mode; ctl; nteams = 0;
+    { des; nthreads; initial_icvs; mode; ctl; nteams = 0; nidx = 1;
+      reclaims = 0; retired = Hashtbl.create 16;
       rng =
         (match mode with
          | Seeded s -> Some (Random.State.make [| s; 0x5eed |])
          | _ -> None);
-      race = Race.create ~src;
+      race = Race.create ~src ~ctl;
       findings = []; threads = Hashtbl.create 16;
       locks = Hashtbl.create 8;
       atomic_lock = (Des.Smutex.create des, Vc.create ());
@@ -775,14 +824,11 @@ let run_session ~name ~(load : unit -> Interp.program)
       Rt.pending_op := None;
       Rt.tls_key := (fun () -> (Domain.self () :> int)))
     (fun () ->
+      (* the initial thread holds clock index 0 *)
       Des.spawn des (fun () ->
-          let vt = Des.self des in
-          let ts =
-            { gid = vt.Des.id; vc = Vc.create ();
-              base_icvs = sess.initial_icvs; frames = [] }
-          in
-          Vc.tick ts.vc ts.gid;
-          Hashtbl.replace sess.threads ts.gid ts;
+          ignore
+            (start_thread sess (0, Vc.create (), None)
+               ~base_icvs:sess.initial_icvs);
           run prog);
       (try ignore (Des.run des) with
        | Des.Deadlock msg ->
@@ -794,6 +840,7 @@ let run_session ~name ~(load : unit -> Interp.program)
        | Zr.Source.Error msg ->
            sess.findings <-
              Report.error ~detail:(label ^ ": " ^ msg) :: sess.findings));
+  Option.iter (fun ex -> Dpor.note_width ex sess.nidx) ctl;
   (Race.findings sess.race @ sess.findings, Buffer.contents sess.output)
 
 (** Run one sampled schedule (the legacy 7-schedule mode). *)

@@ -1,9 +1,14 @@
 (** Vector clocks for the happens-before race detector.
 
-    One clock entry per checker-global thread id (the virtual-thread id
-    from {!Sim.Des}, so ids are dense but unbounded across a schedule —
-    the array grows on demand and absent entries read as 0, exactly the
-    FastTrack convention for "never synchronised with"). *)
+    One entry per {e clock index}, not per virtual thread: {!Sched}
+    recycles a finished thread's index at the join that orders its last
+    event, so a clock is as wide as the threads live at once.  An index
+    goes only to a thread whose clock covers the previous holder's last
+    epoch, and the new holder ticks past it, so {!covers} answers as if
+    every thread had its own index (DESIGN.md, "Clock-index
+    recycling").  Entries never written read as 0 — the FastTrack
+    convention for "never synchronised with"; the array grows on
+    demand. *)
 
 type t = { mutable c : int array }
 
@@ -31,7 +36,8 @@ let join dst src =
 
 let copy v = { c = Array.copy v.c }
 
-(** [covers v ~tid ~clk] — does [v] happen-after the event stamped
-    [(tid, clk)]?  The core FastTrack test: an epoch is ordered before
-    everything whose clock for its thread has reached it. *)
-let covers v ~tid ~clk = clk <= get v tid
+(** [covers v ~idx ~clk] — does [v] happen-after the event stamped with
+    epoch [clk] on clock index [idx]?  The core FastTrack test: an epoch
+    is ordered before everything whose clock for that index has reached
+    it. *)
+let covers v ~idx ~clk = clk <= get v idx

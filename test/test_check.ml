@@ -266,6 +266,202 @@ let test_dpor_exit_codes () =
   Alcotest.(check int) "sampled clean -> 0" 0
     (code ~config:(config ()) "clean/reduction.zr")
 
+(* Golden exploration pin: every fast fixture of the benchmark's
+   [check] workload, at 2 threads with the default DPOR budget, keeps
+   its sorted finding lines, its verdict and its execution count.
+   Clock-index recycling and the shared shadow table must leave the
+   explored interleavings and every reported pair as they were; any
+   drift here means a happens-before answer changed. *)
+let golden_exploration =
+  [
+    ( "analyze/private_read_first.zr", "COMPLETE 1",
+      [ "error :: dpor: arithmetic on undefined and float" ] );
+    ( "analyze/sections_scalar.zr", "COMPLETE 190",
+      [ "race w: read@30:34 vs write@35:23 :: `w__ptr.* = w__ptr.* + 2;` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(w)";
+        "race w: write@30:23 vs read@35:34 :: `w__ptr.* = w__ptr.* + 2;` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(w)";
+        "race w: write@30:23 vs write@35:23 :: `w__ptr.* = w__ptr.* + 2;` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(w)" ] );
+    ( "analyze/siv_carried.zr", "COMPLETE 4",
+      [ "race a: write@36:9 vs read@36:30 \
+         :: `a__ptr.*[__omp_iv] = a__ptr.*[__omp_iv + 1];` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(a)" ] );
+    ( "analyze/task_capture_loop.zr", "BOUNDED 256",
+      [ "race cap: write@27:32[+] vs read@44:37 \
+         :: `{ sum__ptr.* = sum__ptr.* + cap__ptr.*; }` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(cap)" ] );
+    ("analyze/taskloop_disjoint.zr", "COMPLETE 4", []);
+    ("clean/atomic_counter.zr", "COMPLETE 17", []);
+    ("clean/nowait_barrier.zr", "COMPLETE 4", []);
+    ("clean/reduction.zr", "COMPLETE 1", []);
+    ("clean/sections_atomic.zr", "COMPLETE 63", []);
+    ("clean/task_capture_fp.zr", "COMPLETE 13", []);
+    ("clean/task_taskwait.zr", "COMPLETE 4", []);
+    ( "dpor/hidden_handoff.zr", "COMPLETE 10",
+      [ "race data: write@49:22 vs read@59:39 \
+         :: `got__ptr.* = data__ptr.*;` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(data)" ] );
+    ("dpor/hidden_handoff_clean.zr", "COMPLETE 4", []);
+    ( "racy/missing_reduction.zr", "BOUNDED 256",
+      [ "race s: read@38:19 vs write@38:19[+] \
+         :: `s__ptr.* += x__ptr.*[__omp_iv];` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(s)";
+        "race s: write@38:19[+] vs write@38:19[+] \
+         :: `s__ptr.* += x__ptr.*[__omp_iv];` :: suggest reduction(+: s)" ] );
+    ( "racy/nowait_useafter.zr", "COMPLETE 26",
+      [ "lint nowait-dependent-read :: q@24:9 \
+         :: written under `for nowait` at 19:9, \
+         used before the next barrier";
+        "race q: write@34:13 vs read@42:28 \
+         :: `total__ptr.* = q__ptr.*[0] + q__ptr.*[n - 1];` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(q)";
+        "race q: write@34:13 vs read@42:42 \
+         :: `total__ptr.* = q__ptr.*[0] + q__ptr.*[n - 1];` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(q)" ] );
+    ( "racy/shared_counter.zr", "COMPLETE 247",
+      [ "race counter: write@32:25 vs read@32:42 \
+         :: `counter__ptr.* = counter__ptr.* + 1;` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(counter)";
+        "race counter: write@32:25 vs write@32:25 \
+         :: `counter__ptr.* = counter__ptr.* + 1;` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(counter)" ] );
+    ( "racy/task_no_taskwait.zr", "COMPLETE 52",
+      [ "race r: read@19:30 vs write@29:13 \
+         :: `{ r__ptr.* = r__ptr.* + 1; }` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(r)";
+        "race r: write@19:19 vs read@29:24 \
+         :: `{ r__ptr.* = r__ptr.* + 1; }` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(r)";
+        "race r: write@19:19 vs write@29:13 \
+         :: `{ r__ptr.* = r__ptr.* + 1; }` \
+         :: suggest atomic/critical around the conflicting accesses, \
+         or private(r)" ] );
+    ("transform/collapse2.zr", "COMPLETE 1", []);
+  ]
+
+let verdict_line (r : Report.t) =
+  match r.Report.exploration with
+  | Some (Report.Complete { executions }) ->
+      Printf.sprintf "COMPLETE %d" executions
+  | Some (Report.Bounded { executions; _ }) ->
+      Printf.sprintf "BOUNDED %d" executions
+  | _ -> "-"
+
+let test_golden_exploration () =
+  List.iter
+    (fun (name, verdict, lines) ->
+      let r = check_file ~config:(dpor_config ~nthreads:2 ()) name in
+      Alcotest.(check string) (name ^ ": verdict and executions") verdict
+        (verdict_line r);
+      Alcotest.(check (list string)) (name ^ ": sorted findings") lines
+        (List.sort compare (lines_of r)))
+    golden_exploration
+
+(* ---- clock width -------------------------------------------------- *)
+
+(* Clock indices allocated by a short DPOR search of [src] at 2 threads
+   (max over its executions). *)
+let clock_width ?(max_execs = 2) src =
+  let name = "width.zr" in
+  let pre = Preproc.Preprocess.run ~name src in
+  let load () = Interp.load ~name ~preprocess:false pre in
+  let run prog = ignore (Interp.run_main prog) in
+  let run_one ex =
+    fst (Checker.Sched.run_controlled ~name ~load ~run ~nthreads:2 ~ex ())
+  in
+  let _, stats = Checker.Dpor.explore ~max_execs ~preempt_bound:2 ~run_one in
+  stats.Checker.Dpor.clock_width
+
+let jacobi_src regions =
+  Printf.sprintf
+    {|fn main() f64 {
+    var n: i64 = 8;
+    var u = alloc_f64(n);
+    var v = alloc_f64(n);
+    var resid: f64 = 0.0;
+    var sweep: i64 = 0;
+    while (sweep < %d) : (sweep += 1) {
+        resid = 0.0;
+        //$omp parallel shared(u, v, resid) firstprivate(n)
+        {
+            var i: i64 = 1;
+            //$omp for reduction(max: resid)
+            while (i < n - 1) : (i += 1) {
+                v[i] = 0.5 * (u[i - 1] + u[i + 1]) + 1.0;
+                resid = __omp_max(resid, fabs(v[i] - u[i]));
+            }
+            var j: i64 = 1;
+            //$omp for
+            while (j < n - 1) : (j += 1) { u[j] = v[j]; }
+        }
+    }
+    return resid;
+}
+|}
+    regions
+
+let fib_src ~calls depth =
+  Printf.sprintf
+    {|fn fib(n: i64) i64 {
+    if (n < 2) { return n; }
+    var a: i64 = 0;
+    var b: i64 = 0;
+    //$omp task shared(a) firstprivate(n)
+    { a = fib(n - 1); }
+    //$omp task shared(b) firstprivate(n)
+    { b = fib(n - 2); }
+    //$omp taskwait
+    return a + b;
+}
+
+fn main() i64 {
+    var r: i64 = 0;
+    //$omp parallel
+    {
+        //$omp single
+        {
+            var k: i64 = 0;
+            while (k < %d) : (k += 1) { r = r + fib(%d); }
+        }
+    }
+    return r;
+}
+|}
+    calls depth
+
+(* The clock-width regression: a clock index is recycled at the join
+   that orders its holder's last event, so the width follows the
+   threads live at once.  Two hundred 2-thread regions run one at a
+   time and need the initial thread's index plus one child's; one
+   fib(8) call spawns 66 tasks, and three calls in sequence (198 tasks)
+   never have more than one call's tasks unjoined.  Both are counts, not
+   timings.  The task runs also exercise the checker's hand-out
+   assertion: an index handed to a thread whose clock does not cover
+   the previous holder's last epoch fails it. *)
+let test_clock_width () =
+  Alcotest.(check bool) "200 regions stay within 3 indices" true
+    (clock_width (jacobi_src 200) <= 3);
+  (* 66 tasks of one call plus the 2 team threads *)
+  let one_call = 66 + 2 in
+  Alcotest.(check bool) "one fib(8) call: within its tasks" true
+    (clock_width (fib_src ~calls:1 8) <= one_call);
+  Alcotest.(check bool) "three fib(8) calls: within one call's tasks" true
+    (clock_width (fib_src ~calls:3 8) <= one_call)
+
 (* ---- differential property: DPOR vs sampling ---------------------- *)
 
 module G = QCheck2.Gen
@@ -482,6 +678,10 @@ let suite =
       test_dpor_deterministic;
     Alcotest.test_case "exit codes: 0/1/2 by verdict" `Quick
       test_dpor_exit_codes;
+    Alcotest.test_case "golden exploration of the fast fixtures" `Quick
+      test_golden_exploration;
+    Alcotest.test_case "clock width follows live threads" `Quick
+      test_clock_width;
     QCheck_alcotest.to_alcotest prop_dpor_superset;
     Alcotest.test_case "corpus: clean dir is clean" `Slow
       test_corpus_check_clean;

@@ -2,7 +2,8 @@
    drive both the happens-before race filter and the DPOR dependence
    relation.  The clocks are sparse: entries never written read as 0,
    which encodes "never synchronised with" — several tests pin that
-   convention because both Race and Dpor lean on it. *)
+   convention because the race detector and the DPOR engine lean on
+   it. *)
 
 module Vc = Zigomp.Checker.Vc
 
@@ -60,15 +61,15 @@ let test_covers () =
   let v = Vc.create () in
   Vc.set v 1 3;
   Alcotest.(check bool) "earlier epoch covered" true
-    (Vc.covers v ~tid:1 ~clk:2);
+    (Vc.covers v ~idx:1 ~clk:2);
   Alcotest.(check bool) "equal epoch covered" true
-    (Vc.covers v ~tid:1 ~clk:3);
+    (Vc.covers v ~idx:1 ~clk:3);
   Alcotest.(check bool) "later epoch not covered" false
-    (Vc.covers v ~tid:1 ~clk:4);
-  Alcotest.(check bool) "absent thread at clk 0 covered" true
-    (Vc.covers v ~tid:42 ~clk:0);
-  Alcotest.(check bool) "absent thread at clk 1 not covered" false
-    (Vc.covers v ~tid:42 ~clk:1)
+    (Vc.covers v ~idx:1 ~clk:4);
+  Alcotest.(check bool) "absent index at clk 0 covered" true
+    (Vc.covers v ~idx:42 ~clk:0);
+  Alcotest.(check bool) "absent index at clk 1 not covered" false
+    (Vc.covers v ~idx:42 ~clk:1)
 
 (* The fork discipline the scheduler relies on: the parent copies its
    clock to each child and then ticks itself, so the child covers
@@ -86,9 +87,9 @@ let test_fork_handoff () =
   (* parent's first post-fork event *)
   let post_fork = Vc.get parent ptid in
   Alcotest.(check bool) "child covers the parent's pre-fork work" true
-    (Vc.covers child ~tid:ptid ~clk:pre_fork);
+    (Vc.covers child ~idx:ptid ~clk:pre_fork);
   Alcotest.(check bool) "child does not cover post-fork events" false
-    (Vc.covers child ~tid:ptid ~clk:post_fork)
+    (Vc.covers child ~idx:ptid ~clk:post_fork)
 
 (* Release/acquire through a lock clock: the acquirer covers exactly
    what the releaser had published at release time. *)
@@ -102,9 +103,36 @@ let test_lock_edge () =
   (* t0's unprotected write at (0, 2), after the release *)
   Vc.join t1 lock;
   Alcotest.(check bool) "acquirer covers the protected write" true
-    (Vc.covers t1 ~tid:0 ~clk:1);
+    (Vc.covers t1 ~idx:0 ~clk:1);
   Alcotest.(check bool) "acquirer does not cover the later write" false
-    (Vc.covers t1 ~tid:0 ~clk:2)
+    (Vc.covers t1 ~idx:0 ~clk:2)
+
+(* Index recycling: a holder that finished and was joined by the parent
+   hands its index on to the parent's next child.  The new holder starts
+   from the parent's clock and ticks past the old holder's last epoch,
+   so a third clock that saw the new holder's event covers the old
+   holder's too, and one that saw neither covers neither. *)
+let test_recycled_index () =
+  let parent = Vc.create () in
+  Vc.tick parent 0;
+  let old_holder = Vc.copy parent in
+  Vc.tick old_holder 1;
+  Vc.tick old_holder 1;
+  let old_last = Vc.get old_holder 1 in
+  Vc.join parent old_holder;
+  Vc.tick parent 0;
+  let new_holder = Vc.copy parent in
+  Vc.tick new_holder 1;
+  let new_first = Vc.get new_holder 1 in
+  Alcotest.(check bool) "new holder's epochs pass the old holder's" true
+    (new_first > old_last);
+  let observer = Vc.create () in
+  Vc.tick observer 2;
+  Alcotest.(check bool) "unsynchronised observer covers neither" false
+    (Vc.covers observer ~idx:1 ~clk:old_last);
+  Vc.join observer new_holder;
+  Alcotest.(check bool) "seeing the new holder covers the old one" true
+    (Vc.covers observer ~idx:1 ~clk:old_last)
 
 let suite =
   [ Alcotest.test_case "fresh clocks read 0 everywhere" `Quick
@@ -117,4 +145,6 @@ let suite =
     Alcotest.test_case "covers is the epoch test" `Quick test_covers;
     Alcotest.test_case "fork hands off then ticks" `Quick test_fork_handoff;
     Alcotest.test_case "release/acquire edge" `Quick test_lock_edge;
+    Alcotest.test_case "recycled index keeps covers exact" `Quick
+      test_recycled_index;
   ]
